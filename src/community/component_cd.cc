@@ -93,7 +93,6 @@ Result<DetectionResult> DetectCommunitiesByComponent(
       sql.max_iterations = options.max_iterations;
       sql.pool = options.pool;
       sql.num_partitions = options.num_partitions;
-      sql.use_columnar = options.sql_use_columnar;
       sql.meter = options.meter;
       sql.total_weight_override = total_weight;
       ESHARP_ASSIGN_OR_RETURN(sub_result, DetectCommunitiesSql(sub, sql));

@@ -1,47 +1,127 @@
 #include "community/sql_cd.h"
 
-#include <unordered_map>
-
 #include "common/strings.h"
 #include "common/timer.h"
 #include "obs/obs.h"
-#include "sqlengine/catalog.h"
 
 namespace esharp::community {
 
 namespace sqlns = esharp::sql;
 
+// The algorithm of Fig. 4, written as the SQL a SCOPE/Hive deployment would
+// actually submit. The driver chains the statements by registering each
+// result under its name, exactly like a multi-statement script.
+const std::array<SqlCdStatement, 3> kSqlCdScript = {{
+    {"degrees", R"sql(
+    SELECT c1.comm_name AS comm, sum(graph.distance) AS degree
+    FROM graph
+    INNER JOIN communities c1 ON graph.query1 = c1.query
+    GROUP BY c1.comm_name
+)sql"},
+    {"partitions", R"sql(
+    SELECT n.comm1 AS comm1, argmax(n.gain, n.comm2) AS best
+    FROM (SELECT b.comm1 AS comm1, b.comm2 AS comm2,
+                 modulgain(d1.degree, d2.degree, b.w12) AS gain
+          FROM (SELECT c1.comm_name AS comm1, c2.comm_name AS comm2,
+                       sum(graph.distance) AS w12
+                FROM graph
+                INNER JOIN communities c1 ON graph.query1 = c1.query
+                INNER JOIN communities c2 ON graph.query2 = c2.query
+                WHERE c1.comm_name <> c2.comm_name
+                GROUP BY c1.comm_name, c2.comm_name) b
+          INNER JOIN degrees d1 ON b.comm1 = d1.comm
+          INNER JOIN degrees d2 ON b.comm2 = d2.comm
+          WHERE modulgain(d1.degree, d2.degree, b.w12) > 0) n
+    GROUP BY n.comm1
+)sql"},
+    {"communities", R"sql(
+    SELECT least(p.best, c.comm_name) AS comm_name, c.query AS query
+    FROM communities c
+    LEFT OUTER JOIN partitions p ON c.comm_name = p.comm1
+)sql"},
+}};
+
 std::string SqlVertexName(graph::VertexId v) {
   return StrFormat("v%09u", v);
 }
 
-namespace {
-
-// graph(query1, query2, distance): both directions of every edge.
-sqlns::Table BuildGraphTable(const graph::Graph& g) {
-  sqlns::TableBuilder b({{"query1", sqlns::DataType::kString},
-                         {"query2", sqlns::DataType::kString},
-                         {"distance", sqlns::DataType::kDouble}});
-  for (const graph::Edge& e : g.edges()) {
-    b.AddRow({sqlns::Value::String(SqlVertexName(e.u)),
-              sqlns::Value::String(SqlVertexName(e.v)),
-              sqlns::Value::Double(e.weight)});
-    b.AddRow({sqlns::Value::String(SqlVertexName(e.v)),
-              sqlns::Value::String(SqlVertexName(e.u)),
-              sqlns::Value::Double(e.weight)});
-  }
-  return b.Build();
+sqlns::FunctionRegistry SqlCdFunctions(double total_weight) {
+  sqlns::FunctionRegistry registry;
+  registry.RegisterScalar(
+      "modulgain",
+      [total_weight](const std::vector<sqlns::Value>& args)
+          -> Result<sqlns::Value> {
+        if (args.size() != 3) {
+          return Status::InvalidArgument("modulgain expects 3 arguments");
+        }
+        ESHARP_ASSIGN_OR_RETURN(double d1, args[0].AsDouble());
+        ESHARP_ASSIGN_OR_RETURN(double d2, args[1].AsDouble());
+        ESHARP_ASSIGN_OR_RETURN(double w, args[2].AsDouble());
+        return sqlns::Value::Double(w - d1 * d2 / (2.0 * total_weight));
+      });
+  // least(candidate, self): candidate is NULL for communities with no
+  // positive-gain neighbor (left outer join miss) — keep self then.
+  registry.RegisterScalar(
+      "least",
+      [](const std::vector<sqlns::Value>& args) -> Result<sqlns::Value> {
+        if (args.size() != 2) {
+          return Status::InvalidArgument("least expects 2 arguments");
+        }
+        if (args[0].is_null()) return args[1];
+        if (args[1].is_null()) return args[0];
+        return args[0].Compare(args[1]) <= 0 ? args[0] : args[1];
+      });
+  return registry;
 }
 
-// communities(comm_name, query): singleton initialization.
-sqlns::Table BuildInitialCommunities(const graph::Graph& g) {
-  sqlns::TableBuilder b({{"comm_name", sqlns::DataType::kString},
-                         {"query", sqlns::DataType::kString}});
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    b.AddRow({sqlns::Value::String(SqlVertexName(v)),
-              sqlns::Value::String(SqlVertexName(v))});
+sqlns::Catalog SqlCdCatalog(const graph::Graph& g) {
+  sqlns::TableBuilder graph_builder({{"query1", sqlns::DataType::kString},
+                                     {"query2", sqlns::DataType::kString},
+                                     {"distance", sqlns::DataType::kDouble}});
+  for (const graph::Edge& e : g.edges()) {
+    graph_builder.AddRow({sqlns::Value::String(SqlVertexName(e.u)),
+                          sqlns::Value::String(SqlVertexName(e.v)),
+                          sqlns::Value::Double(e.weight)});
+    graph_builder.AddRow({sqlns::Value::String(SqlVertexName(e.v)),
+                          sqlns::Value::String(SqlVertexName(e.u)),
+                          sqlns::Value::Double(e.weight)});
   }
-  return b.Build();
+  sqlns::TableBuilder comm_builder({{"comm_name", sqlns::DataType::kString},
+                                    {"query", sqlns::DataType::kString}});
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    comm_builder.AddRow({sqlns::Value::String(SqlVertexName(v)),
+                         sqlns::Value::String(SqlVertexName(v))});
+  }
+  sqlns::Table graph_table = graph_builder.Build();
+  sqlns::Table communities_table = comm_builder.Build();
+  // String and double columns always have a columnar form.
+  (void)graph_table.EnsureColumnar();
+  (void)communities_table.EnsureColumnar();
+  sqlns::Catalog catalog;
+  catalog.Register("graph", std::move(graph_table));
+  catalog.Register("communities", std::move(communities_table));
+  return catalog;
+}
+
+namespace {
+
+// Decodes the communities(comm_name, query) table into a dense assignment
+// vector (names are SqlVertexName-padded ids).
+Result<std::vector<CommunityId>> DecodeAssignment(const sqlns::Table& table,
+                                                  size_t num_vertices) {
+  std::vector<CommunityId> assignment(num_vertices, 0);
+  ESHARP_ASSIGN_OR_RETURN(size_t comm_idx, table.schema().IndexOf("comm_name"));
+  ESHARP_ASSIGN_OR_RETURN(size_t query_idx, table.schema().IndexOf("query"));
+  for (const sqlns::Row& r : table.rows()) {
+    graph::VertexId vertex = static_cast<graph::VertexId>(
+        std::stoul(r[query_idx].string_value().substr(1)));
+    if (vertex >= num_vertices) {
+      return Status::Internal("vertex out of range in communities table");
+    }
+    assignment[vertex] = static_cast<CommunityId>(
+        std::stoul(r[comm_idx].string_value().substr(1)));
+  }
+  return assignment;
 }
 
 }  // namespace
@@ -51,273 +131,106 @@ Result<DetectionResult> DetectCommunitiesSql(const graph::Graph& g,
   if (g.num_vertices() == 0) {
     return Status::InvalidArgument("empty graph");
   }
-  Timer timer;
   DetectionResult result;
-
-  sqlns::Catalog catalog;
-  {
-    // Pre-convert the base tables so every per-iteration scan is a
-    // copy-free columnar handoff instead of a row→column conversion.
-    sqlns::Table graph_table = BuildGraphTable(g);
-    sqlns::Table communities_table = BuildInitialCommunities(g);
-    if (options.use_columnar) {
-      (void)graph_table.EnsureColumnar();
-      (void)communities_table.EnsureColumnar();
+  if (g.num_edges() == 0) {
+    // All vertices are orphans; nothing to merge.
+    result.assignment.resize(g.num_vertices());
+    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+      result.assignment[v] = static_cast<CommunityId>(v);
     }
-    catalog.Register("graph", std::move(graph_table));
-    catalog.Register("communities", std::move(communities_table));
+    result.communities_per_iteration = {g.num_vertices()};
+    result.modularity_per_iteration = {0.0};
+    result.converged = true;
+    return result;
   }
+  Timer timer;
 
+  const ModularityContext ctx =
+      options.total_weight_override > 0
+          ? ModularityContext(options.total_weight_override)
+          : ModularityContext(g);
+
+  // Compile the script once; every iteration re-runs the same plans.
+  const sqlns::FunctionRegistry functions =
+      SqlCdFunctions(ctx.total_weight());
+  std::vector<sqlns::Plan> plans;
+  for (const SqlCdStatement& statement : kSqlCdScript) {
+    ESHARP_ASSIGN_OR_RETURN(sqlns::Plan plan,
+                            sqlns::ParseSql(statement.sql, functions));
+    plans.push_back(std::move(plan));
+  }
+  const sqlns::Plan& degrees = plans[0];
+  const sqlns::Plan& partitions = plans[1];
+  const sqlns::Plan& rename = plans[2];
+
+  sqlns::Catalog catalog = SqlCdCatalog(g);
   sqlns::ExecutorOptions exec_options;
   exec_options.pool = options.pool;
   exec_options.num_partitions = options.num_partitions;
   exec_options.join_strategy = options.join_strategy;
   exec_options.meter = options.meter;
   exec_options.stage = "Clustering";
-  exec_options.use_columnar = options.use_columnar;
-  sqlns::Executor executor(exec_options);
+  const sqlns::Executor executor(exec_options);
 
-  const double total_weight = options.total_weight_override > 0
-                                  ? options.total_weight_override
-                                  : g.TotalWeight();
-
-  // ModulGain(d1, d2, w) = w - d1*d2 / (2 m_G): Eq. 8/9 as a scalar UDF,
-  // exactly the role ModulGain plays in Fig. 4.
-  sqlns::ScalarUdf modul_gain =
-      [total_weight](const std::vector<sqlns::Value>& args)
-      -> Result<sqlns::Value> {
-    if (args.size() != 3) {
-      return Status::InvalidArgument("ModulGain expects 3 arguments");
-    }
-    ESHARP_ASSIGN_OR_RETURN(double d1, args[0].AsDouble());
-    ESHARP_ASSIGN_OR_RETURN(double d2, args[1].AsDouble());
-    ESHARP_ASSIGN_OR_RETURN(double w, args[2].AsDouble());
-    return sqlns::Value::Double(w - d1 * d2 / (2.0 * total_weight));
+  // Appends the current communities table's count and modularity to the
+  // Fig. 5 trace series.
+  auto record_state = [&]() -> Status {
+    ESHARP_ASSIGN_OR_RETURN(const sqlns::Table* communities,
+                            catalog.Get("communities"));
+    ESHARP_ASSIGN_OR_RETURN(std::vector<CommunityId> assignment,
+                            DecodeAssignment(*communities, g.num_vertices()));
+    const Partition partition(g, std::move(assignment));
+    result.communities_per_iteration.push_back(partition.NumCommunities());
+    result.modularity_per_iteration.push_back(partition.TotalModularity(ctx));
+    return Status::OK();
   };
-
-  // LEAST(candidate, self): candidate is NULL for communities with no
-  // positive-gain neighbor (left outer join miss) — keep self then.
-  sqlns::ScalarUdf least = [](const std::vector<sqlns::Value>& args)
-      -> Result<sqlns::Value> {
-    if (args.size() != 2) {
-      return Status::InvalidArgument("LEAST expects 2 arguments");
-    }
-    if (args[0].is_null()) return args[1];
-    if (args[1].is_null()) return args[0];
-    return args[0].Compare(args[1]) <= 0 ? args[0] : args[1];
-  };
-
-  auto count_communities = [&]() -> Result<size_t> {
-    sqlns::Plan plan = sqlns::Plan::Scan("communities")
-                           .GroupBy({"comm_name"}, {sqlns::CountStar("n")});
-    ESHARP_ASSIGN_OR_RETURN(sqlns::Table t, executor.Execute(plan, catalog));
-    return t.num_rows();
-  };
-
-  auto total_modularity = [&]() -> Result<double> {
-    // Degree sums and internal weights per community, via the edge table.
-    using namespace sqlns;
-    Plan edges_c =
-        Plan::Scan("graph")
-            .Join(Plan::Scan("communities"), {"query1"}, {"query"})
-            .Join(Plan::Scan("communities"), {"query2"}, {"query"})
-            .Select({{Col("comm_name"), "comm1"},
-                     {Col("r_comm_name"), "comm2"},
-                     {Col("distance"), "w"}});
-    ESHARP_ASSIGN_OR_RETURN(Table t, executor.Execute(edges_c, catalog));
-    // Sum per community: degree = all incident directed rows; internal =
-    // rows with comm1 == comm2 (each internal undirected edge appears twice,
-    // so halve).
-    std::unordered_map<std::string, double> degree, internal;
-    ESHARP_ASSIGN_OR_RETURN(size_t c1, t.schema().IndexOf("comm1"));
-    ESHARP_ASSIGN_OR_RETURN(size_t c2, t.schema().IndexOf("comm2"));
-    ESHARP_ASSIGN_OR_RETURN(size_t cw, t.schema().IndexOf("w"));
-    bool accumulated = false;
-    if (options.use_columnar && t.columnar() != nullptr) {
-      // Read the typed columns directly instead of materializing rows.
-      const ColumnTable& ct = *t.columnar();
-      const ColumnVec& v1 = ct.col(c1);
-      const ColumnVec& v2 = ct.col(c2);
-      const ColumnVec& vw = ct.col(cw);
-      if (v1.type == DataType::kString && v2.type == DataType::kString &&
-          vw.type == DataType::kDouble && !v1.nulls.AnyNull() &&
-          !v2.nulls.AnyNull() && !vw.nulls.AnyNull()) {
-        for (size_t i = 0; i < ct.num_rows(); ++i) {
-          const double w = vw.doubles[i];
-          const std::string& s1 = v1.dict->at(v1.str_ids[i]);
-          degree[s1] += w;
-          if (s1 == v2.dict->at(v2.str_ids[i])) internal[s1] += w / 2.0;
-        }
-        accumulated = true;
-      }
-    }
-    if (!accumulated) {
-      for (const Row& r : t.rows()) {
-        double w = r[cw].double_value();
-        degree[r[c1].string_value()] += w;
-        if (r[c1].string_value() == r[c2].string_value()) {
-          internal[r[c1].string_value()] += w / 2.0;
-        }
-      }
-    }
-    double mod = 0;
-    for (const auto& [c, d] : degree) {
-      double frac = d / (2.0 * total_weight);
-      double internal_w = internal.count(c) ? internal.at(c) : 0.0;
-      mod += internal_w - total_weight * frac * frac;
-    }
-    return mod;
-  };
-
-  ESHARP_ASSIGN_OR_RETURN(size_t count0, count_communities());
-  result.communities_per_iteration.push_back(count0);
-  ESHARP_ASSIGN_OR_RETURN(double mod0, total_modularity());
-  result.modularity_per_iteration.push_back(mod0);
+  ESHARP_RETURN_NOT_OK(record_state());
 
   for (size_t iter = 0; iter < options.max_iterations; ++iter) {
-    using namespace sqlns;
     ESHARP_SPAN(iter_span, options.tracer, "iteration", options.trace_parent);
     ESHARP_SPAN_ANNOTATE(iter_span, "iteration", static_cast<int64_t>(iter));
 
-    // --- Step 0: map both edge endpoints to communities. -----------------
-    // select c1.comm_name comm1, c2.comm_name comm2, distance
-    // from graph join communities c1 on query1 join communities c2 on query2
-    Plan edges_c =
-        Plan::Scan("graph")
-            .Join(Plan::Scan("communities"), {"query1"}, {"query"})
-            .Join(Plan::Scan("communities"), {"query2"}, {"query"})
-            .Select({{Col("comm_name"), "comm1"},
-                     {Col("r_comm_name"), "comm2"},
-                     {Col("distance"), "w"}});
+    ESHARP_ASSIGN_OR_RETURN(sqlns::Table degrees_table,
+                            executor.Execute(degrees, catalog));
+    catalog.Register("degrees", std::move(degrees_table));
+    // The first iteration's "partitions" doubles as the EXPLAIN ANALYZE
+    // sample when the caller asked for one.
+    ESHARP_ASSIGN_OR_RETURN(
+        sqlns::Table partitions_table,
+        executor.Execute(partitions, catalog,
+                         iter == 0 ? options.explain : nullptr));
+    catalog.Register("partitions", std::move(partitions_table));
+    ESHARP_ASSIGN_OR_RETURN(sqlns::Table renamed,
+                            executor.Execute(rename, catalog));
 
-    // Community degree sums (internal edges count; the symmetric table
-    // already double-counts directions, which is what degree needs).
-    Plan degrees = edges_c.GroupBy({"comm1"}, {SumOf(Col("w"), "degree")})
-                       .Select({{Col("comm1"), "comm"},
-                                {Col("degree"), "degree"}});
-
-    // Inter-community weights (both directions kept; argmax is symmetric).
-    Plan between = edges_c.Where(Ne(Col("comm1"), Col("comm2")))
-                       .GroupBy({"comm1", "comm2"}, {SumOf(Col("w"), "w12")});
-
-    // --- Step 1: neighborhood creation (Fig. 4 "neighbors"). -------------
-    // join degrees twice, keep ModulGain > 0.
-    Plan neighbors =
-        between.Join(degrees, {"comm1"}, {"comm"})
-            .Join(degrees, {"comm2"}, {"comm"})
-            .Select({{Col("comm1"), "comm1"},
-                     {Col("comm2"), "comm2"},
-                     {Udf("ModulGain", modul_gain,
-                          {Col("degree"), Col("r_degree"), Col("w12")}),
-                      "gain"}})
-            .Where(Gt(Col("gain"), LitDouble(0.0)));
-
-    // --- Step 2: neighborhood separation (Fig. 4 "partitions"). ----------
-    // select comm1, argmax(gain, comm2) from neighbors group by comm1.
-    Plan partitions =
-        neighbors.GroupBy({"comm1"},
-                          {ArgMaxOf(Col("gain"), Col("comm2"), "best")});
-
-    // --- Step 3: aggregation (Fig. 4 "communities"). ----------------------
-    // Every community renames itself LEAST(self, chosen target); vertices
-    // follow their community. Left-outer join keeps communities without a
-    // positive-gain neighbor.
-    // The first iteration's execution of the statement doubles as the
-    // EXPLAIN ANALYZE sample when the caller asked for one.
-    Result<Table> partitions_result =
-        (iter == 0 && options.explain != nullptr)
-            ? executor.Execute(partitions, catalog, options.explain)
-            : executor.Execute(partitions, catalog);
-    ESHARP_RETURN_NOT_OK(partitions_result.status());
-    Table partitions_table = std::move(partitions_result).ValueOrDie();
-    Plan renamed =
-        Plan::Scan("communities")
-            .Join(Plan::Values(partitions_table), {"comm_name"}, {"comm1"},
-                  JoinType::kLeftOuter)
-            .Select({{Udf("LEAST", least, {Col("best"), Col("comm_name")}),
-                      "comm_name"},
-                     {Col("query"), "query"}});
-
-    ESHARP_ASSIGN_OR_RETURN(Table new_communities,
-                            executor.Execute(renamed, catalog));
-
-    // Convergence: did any membership change?
-    ESHARP_ASSIGN_OR_RETURN(const Table* old_communities,
+    // Convergence: did any membership change? Multiset equality over the
+    // columnar payloads: no table copies, no row materialization.
+    ESHARP_ASSIGN_OR_RETURN(const sqlns::Table* previous,
                             catalog.Get("communities"));
-    bool changed = false;
-    bool compared = false;
-    if (options.use_columnar) {
-      // Multiset equality over the columnar payloads: no table copies, no
-      // row materialization, no sort.
-      Result<std::shared_ptr<const ColumnTable>> oc =
-          old_communities->EnsureColumnar();
-      Result<std::shared_ptr<const ColumnTable>> nc =
-          new_communities.EnsureColumnar();
-      if (oc.ok() && nc.ok()) {
-        changed = !ColumnTablesEqualAsMultisets(**oc, **nc);
-        compared = true;
-      } else {
-        if (!oc.ok() && !IsColumnarUnsupported(oc.status())) {
-          return oc.status();
-        }
-        if (!nc.ok() && !IsColumnarUnsupported(nc.status())) {
-          return nc.status();
-        }
-      }
-    }
-    if (!compared) {
-      Table sorted_old = *old_communities;
-      Table sorted_new = new_communities;
-      sorted_old.SortLexicographic();
-      sorted_new.SortLexicographic();
-      changed = sorted_old.num_rows() != sorted_new.num_rows();
-      if (!changed) {
-        for (size_t i = 0; i < sorted_old.num_rows() && !changed; ++i) {
-          for (size_t c = 0; c < sorted_old.num_columns() && !changed; ++c) {
-            changed = sorted_old.row(i)[c].Compare(sorted_new.row(i)[c]) != 0;
-          }
-        }
-      }
-    }
-
-    catalog.Register("communities", std::move(new_communities));
-
+    ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const sqlns::ColumnTable> before,
+                            previous->EnsureColumnar());
+    ESHARP_ASSIGN_OR_RETURN(std::shared_ptr<const sqlns::ColumnTable> after,
+                            renamed.EnsureColumnar());
+    const bool changed = !sqlns::ColumnTablesEqualAsMultisets(*before, *after);
+    catalog.Register("communities", std::move(renamed));
     if (!changed) {
       ESHARP_SPAN_ANNOTATE(iter_span, "converged", "true");
       result.converged = true;
       break;
     }
     ++result.iterations;
-    ESHARP_ASSIGN_OR_RETURN(size_t count, count_communities());
-    result.communities_per_iteration.push_back(count);
-    ESHARP_ASSIGN_OR_RETURN(double mod, total_modularity());
-    result.modularity_per_iteration.push_back(mod);
-    ESHARP_SPAN_ANNOTATE(iter_span, "communities",
-                         static_cast<int64_t>(count));
-    ESHARP_SPAN_ANNOTATE(iter_span, "modularity", mod);
+    ESHARP_RETURN_NOT_OK(record_state());
+    ESHARP_SPAN_ANNOTATE(
+        iter_span, "communities",
+        static_cast<int64_t>(result.communities_per_iteration.back()));
+    ESHARP_SPAN_ANNOTATE(iter_span, "modularity",
+                         result.modularity_per_iteration.back());
   }
 
-  // Decode the final communities table into the dense assignment vector.
   ESHARP_ASSIGN_OR_RETURN(const sqlns::Table* final_table,
                           catalog.Get("communities"));
-  result.assignment.assign(g.num_vertices(), 0);
-  ESHARP_ASSIGN_OR_RETURN(size_t comm_idx,
-                          final_table->schema().IndexOf("comm_name"));
-  ESHARP_ASSIGN_OR_RETURN(size_t query_idx,
-                          final_table->schema().IndexOf("query"));
-  for (const sqlns::Row& r : final_table->rows()) {
-    // Names are "v%09u": parse back to ids.
-    const std::string& comm = r[comm_idx].string_value();
-    const std::string& query = r[query_idx].string_value();
-    graph::VertexId vertex =
-        static_cast<graph::VertexId>(std::stoul(query.substr(1)));
-    CommunityId community =
-        static_cast<CommunityId>(std::stoul(comm.substr(1)));
-    if (vertex >= g.num_vertices()) {
-      return Status::Internal("vertex name out of range: ", query);
-    }
-    result.assignment[vertex] = community;
-  }
+  ESHARP_ASSIGN_OR_RETURN(result.assignment,
+                          DecodeAssignment(*final_table, g.num_vertices()));
 
   if (options.meter != nullptr) {
     options.meter->AddTime("Clustering", timer.ElapsedSeconds());

@@ -1,8 +1,12 @@
 #ifndef ESHARP_COMMUNITY_SQL_CD_H_
 #define ESHARP_COMMUNITY_SQL_CD_H_
 
+#include <array>
+#include <string_view>
+
 #include "common/result.h"
 #include "community/parallel_cd.h"
+#include "sqlengine/parser.h"
 #include "sqlengine/plan.h"
 
 namespace esharp::community {
@@ -16,20 +20,14 @@ struct SqlCdOptions {
   ThreadPool* pool = nullptr;
   size_t num_partitions = 8;
   sql::JoinStrategy join_strategy = sql::JoinStrategy::kReplicated;
-  /// Run the engine's vectorized columnar kernels (typed column batches,
-  /// selection vectors, copy-free partitioning) on the clustering hot path.
-  /// Off = reference row kernels; results and EXPLAIN row counts are
-  /// identical either way.
-  bool use_columnar = true;
   ResourceMeter* meter = nullptr;
   /// Optional tracing: each rename iteration becomes an "iteration" span
   /// (annotated with community count and modularity) under `trace_parent`.
   obs::Tracer* tracer = nullptr;
   const obs::Span* trace_parent = nullptr;
-  /// When set, the first iteration's main plan (the Fig. 4 "partitions"
-  /// statement: join graph to communities, aggregate weights, ModulGain
-  /// filter, argmax) is profiled into this EXPLAIN ANALYZE tree with exact
-  /// per-operator row counts.
+  /// When set, the first iteration's "partitions" statement (join graph to
+  /// communities, aggregate weights, ModulGain filter, argmax) is profiled
+  /// into this EXPLAIN ANALYZE tree with exact per-operator row counts.
   sql::ExplainStats* explain = nullptr;
   /// When > 0, use this as the graph total weight m_G in the ModulGain UDF
   /// and the modularity trace instead of g.TotalWeight(). Set by the
@@ -38,19 +36,44 @@ struct SqlCdOptions {
   double total_weight_override = 0;
 };
 
-/// \brief The paper's SQL-based modularity maximization (Fig. 4), executed
-/// on the relational engine.
+/// \brief One statement of the Fig. 4 script. Its result is registered in
+/// the catalog under `name`, where the statements after it read it.
+struct SqlCdStatement {
+  std::string_view name;
+  std::string_view sql;
+};
+
+/// \brief The Fig. 4 script, in execution order:
 ///
-/// Tables mirror the figure: `graph(query1, query2, distance)` holds both
-/// directions of every similarity edge and `communities(comm_name, query)`
-/// the vertex memberships, with communities named after member vertices.
-/// Each iteration runs the figure's three statements as engine plans:
-///
-///   neighbors  = join graph to communities on both endpoints, aggregate
-///                inter-community weight, join community degree sums, and
-///                keep pairs where the ModulGain UDF is positive;
-///   partitions = per community, argmax(gain) over neighborhoods;
+///   degrees     = per community, the summed degree of its members;
+///   partitions  = per community, argmax(gain) over its neighbors, where the
+///                 neighbors (Fig. 4 "neighbors") are a derived table: join
+///                 graph to communities on both endpoints, aggregate the
+///                 inter-community weight, join the degrees, and keep pairs
+///                 whose ModulGain is positive;
 ///   communities = rename each community to LEAST(itself, chosen target).
+///
+/// The statements read the base tables `graph(query1, query2, distance)`
+/// and `communities(comm_name, query)` (SqlCdCatalog) and call the
+/// `modulgain` and `least` UDFs (SqlCdFunctions).
+extern const std::array<SqlCdStatement, 3> kSqlCdScript;
+
+/// \brief The scalar UDFs the script calls: modulgain(d1, d2, w) =
+/// w - d1*d2 / (2 m_G), Eq. 8/9 with m_G = `total_weight`; and least(a, b),
+/// the smaller non-NULL argument.
+sql::FunctionRegistry SqlCdFunctions(double total_weight);
+
+/// \brief The script's base tables for `g`: `graph` holds both directions
+/// of every edge, `communities` the singleton initialization. Vertices are
+/// named by SqlVertexName. Both tables are converted to columnar form once,
+/// so every scan is a copy-free handoff.
+sql::Catalog SqlCdCatalog(const graph::Graph& g);
+
+/// \brief The paper's SQL-based modularity maximization (Fig. 4): the
+/// literal SQL of kSqlCdScript, compiled once by the bundled parser and run
+/// on the relational engine every iteration. This is the closest rendering
+/// of the paper's claim that the algorithm "can directly be implemented in
+/// a SQL-like language such as Hive, Microsoft's SCOPE or Pig".
 ///
 /// The LEAST canonicalization is the deterministic tie-break that makes the
 /// rename cascade converge (mutual best pairs collapse onto the smaller
@@ -64,17 +87,6 @@ Result<DetectionResult> DetectCommunitiesSql(const graph::Graph& g,
 
 /// \brief Renders the zero-padded vertex name used inside the SQL tables.
 std::string SqlVertexName(graph::VertexId v);
-
-/// \brief The same algorithm once more, but driven by LITERAL SQL text: the
-/// four statements of Fig. 4 (degrees, neighbors, partitions, rename) are
-/// written as SQL strings, compiled by the bundled parser and executed on
-/// the engine, with the ModulGain and LEAST UDFs supplied through the
-/// function registry. This is the closest possible rendering of the paper's
-/// claim that the algorithm "can directly be implemented in a SQL-like
-/// language such as Hive, Microsoft's SCOPE or Pig". Produces results
-/// identical to DetectCommunitiesSql and DetectCommunitiesParallel.
-Result<DetectionResult> DetectCommunitiesSqlText(
-    const graph::Graph& g, const SqlCdOptions& options = {});
 
 }  // namespace esharp::community
 

@@ -35,10 +35,6 @@ struct OfflineOptions {
   /// Parallelism: pool used by both stages when set.
   ThreadPool* pool = nullptr;
   size_t num_partitions = 8;
-  /// kSqlEngine backend only: run clustering on the engine's vectorized
-  /// columnar kernels (default) instead of the reference row kernels.
-  /// Results are identical; see DESIGN.md "Columnar execution".
-  bool sql_use_columnar = true;
   /// Optional Table 9 accounting.
   ResourceMeter* meter = nullptr;
   /// Optional warm start for the weekly refresh (§6.3: "The offline part of

@@ -309,7 +309,6 @@ Result<PublishStats> IngestPipeline::Publish() {
     if (published_graph_->num_vertices() > 0) {
       community::ComponentCdOptions cd;
       cd.use_sql = options_.backend == core::ClusteringBackend::kSqlEngine;
-      cd.sql_use_columnar = options_.sql_use_columnar;
       cd.max_iterations = options_.max_iterations;
       cd.pool = options_.pool;
       cd.num_partitions = options_.num_partitions;

@@ -102,6 +102,29 @@ bool SendAll(int fd, const std::string& data) {
   return true;
 }
 
+/// Reads and discards a request head, waiting `budget_seconds` at most. A
+/// socket closed with unread input answers with a reset rather than a FIN,
+/// and on loopback that reset can reach the client before it reads the
+/// response, losing it; the inline shed path drains the request first.
+void DiscardRequestHead(int fd, double budget_seconds) {
+  std::string raw;
+  char buf[2048];
+  double deadline = NowSeconds() + budget_seconds;
+  while (raw.size() < kMaxRequestBytes &&
+         raw.find("\r\n\r\n") == std::string::npos &&
+         raw.find("\n\n") == std::string::npos) {
+    int left_ms = static_cast<int>((deadline - NowSeconds()) * 1000);
+    if (left_ms <= 0) break;
+    pollfd pfd{};
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    if (::poll(&pfd, 1, left_ms) <= 0) break;
+    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    raw.append(buf, static_cast<size_t>(n));
+  }
+}
+
 void SendResponse(int fd, const HttpResponse& response) {
   std::string head = StrFormat(
       "HTTP/1.1 %d %s\r\n"
@@ -257,8 +280,10 @@ void DebugServer::AcceptLoop() {
         connections_in_flight_.fetch_add(1, std::memory_order_acq_rel);
     if (in_flight >= options_.max_in_flight) {
       // Shed inline: the bounded pool must not queue scrapes without limit
-      // behind a slow handler.
+      // behind a slow handler. The drain wait is short so a client that
+      // never sends cannot stall the accept loop.
       connections_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+      DiscardRequestHead(client, /*budget_seconds=*/0.05);
       shed_->Increment();
       HttpResponse overloaded;
       overloaded.status = 503;

@@ -273,6 +273,9 @@ class ByteReader {
                              " bytes left)");
     }
     out->resize(count);
+    // An empty vector's data() may be null, and memcpy with a null pointer
+    // is undefined even for zero bytes.
+    if (count == 0) return Status::OK();
     std::memcpy(out->data(), p_ + pos_, count * sizeof(T));
     pos_ += count * sizeof(T);
     return Status::OK();

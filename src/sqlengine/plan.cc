@@ -198,7 +198,11 @@ class NodeProfile {
 Result<Table> Executor::ExecuteNode(const PlanNode& node,
                                     const Catalog& catalog,
                                     ExplainStats* stats) const {
-  NodeProfile profile(stats, node);
+  // An alias renames columns and changes no rows, so it opens no EXPLAIN
+  // node: its input reports into `stats`, and the rename's time lands in
+  // the parent's self time.
+  NodeProfile profile(node.kind == PlanNode::Kind::kAlias ? nullptr : stats,
+                      node);
   ExecContext ctx{options_.pool,  options_.num_partitions,
                   options_.meter, options_.stage,
                   stats,          options_.use_columnar};
@@ -316,8 +320,8 @@ Result<Table> Executor::ExecuteNode(const PlanNode& node,
       return profile.Finish(std::move(out));
     }
     case PlanNode::Kind::kAlias: {
-      ESHARP_ASSIGN_OR_RETURN(
-          Table in, ExecuteNode(*node.children[0], catalog, profile.child()));
+      ESHARP_ASSIGN_OR_RETURN(Table in,
+                              ExecuteNode(*node.children[0], catalog, stats));
       Schema renamed;
       for (const Column& c : in.schema().columns()) {
         // Strip any previous qualifier, then apply the new one.
@@ -326,15 +330,14 @@ Result<Table> Executor::ExecuteNode(const PlanNode& node,
             dot == std::string::npos ? c.name : c.name.substr(dot + 1);
         renamed.AddColumn({node.alias + "." + base, c.type});
       }
-      profile.RecordRows(in.num_rows(), in.num_rows());
       if (options_.use_columnar && in.columnar() != nullptr) {
         // Rename on the columnar payload: copies typed vectors, not Values.
         ColumnTable renamed_ct = *in.columnar();
         renamed_ct.mutable_schema() = renamed;
-        return profile.Finish(Table::FromColumnar(
-            std::make_shared<const ColumnTable>(std::move(renamed_ct))));
+        return Table::FromColumnar(
+            std::make_shared<const ColumnTable>(std::move(renamed_ct)));
       }
-      return profile.Finish(Table(renamed, in.rows()));
+      return Table(renamed, in.rows());
     }
   }
   return Status::Internal("unhandled plan node kind");

@@ -125,8 +125,10 @@ class Executor {
 
   /// Executes a plan while profiling every operator into `stats`
   /// (EXPLAIN ANALYZE): exact rows in/out, partition batch counts, and
-  /// inclusive wall time, one ExplainStats node per plan node. `stats` is
-  /// cleared first; `stats->ToString()` renders the report.
+  /// inclusive wall time, one ExplainStats node per plan node except
+  /// aliases, which change no rows: an alias's input is profiled in its
+  /// place. `stats` is cleared first; `stats->ToString()` renders the
+  /// report.
   Result<Table> Execute(const Plan& plan, const Catalog& catalog,
                         ExplainStats* stats) const;
 

@@ -314,10 +314,17 @@ TEST_P(SqlEquivalenceTest, SqlAndNativeProduceIdenticalPartitions) {
   DetectionResult sql = *DetectCommunitiesSql(g);
   EXPECT_EQ(AsPartition(native.assignment), AsPartition(sql.assignment));
   EXPECT_EQ(native.communities_per_iteration, sql.communities_per_iteration);
+  ASSERT_EQ(native.modularity_per_iteration.size(),
+            sql.modularity_per_iteration.size());
+  for (size_t i = 0; i < native.modularity_per_iteration.size(); ++i) {
+    EXPECT_NEAR(native.modularity_per_iteration[i],
+                sql.modularity_per_iteration[i], 1e-6);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SqlEquivalenceTest,
-                         ::testing::Values(101, 103, 107, 109, 113));
+                         ::testing::Values(101, 103, 107, 109, 113, 211, 223,
+                                           227));
 
 TEST(SqlCdTest, TwoCliquesSplitCorrectly) {
   graph::Graph g = TwoCliques();
@@ -325,6 +332,16 @@ TEST(SqlCdTest, TwoCliquesSplitCorrectly) {
   auto partition = AsPartition(r.assignment);
   std::set<std::set<graph::VertexId>> expected = {{0, 1, 2, 3}, {4, 5, 6, 7}};
   EXPECT_EQ(partition, expected);
+  EXPECT_TRUE(r.converged);
+}
+
+TEST(SqlCdTest, EdgelessGraphIsAllOrphans) {
+  graph::Graph g;
+  for (int i = 0; i < 3; ++i) g.AddVertex("v" + std::to_string(i));
+  g.Finalize();
+  DetectionResult r = *DetectCommunitiesSql(g);
+  EXPECT_EQ(r.assignment, (std::vector<CommunityId>{0, 1, 2}));
+  EXPECT_TRUE(r.converged);
 }
 
 TEST(SqlCdTest, ParallelEngineMatchesSerialEngine) {
@@ -343,56 +360,33 @@ TEST(SqlCdTest, ParallelEngineMatchesSerialEngine) {
   }
 }
 
-TEST(SqlCdTest, ModularityTraceIsConsistentWithNative) {
+TEST(SqlCdTest, TotalWeightOverrideDrivesGainsAndTrace) {
+  // One component of a larger graph, run alone under the full graph's
+  // m_G, the way component_cd.cc runs it: both backends must make the same
+  // merges and score them against the override, not the subgraph's weight.
   graph::Graph g = PlantedPartition(3, 8, 0.8, 0.04, 131);
-  DetectionResult native = *DetectCommunitiesParallel(g);
-  DetectionResult sql = *DetectCommunitiesSql(g);
+  graph::Graph rest = PlantedPartition(2, 8, 0.8, 0.04, 137);
+  const double full_weight = g.TotalWeight() + rest.TotalWeight();
+  SqlCdOptions sql_options;
+  sql_options.total_weight_override = full_weight;
+  ParallelCdOptions native_options;
+  native_options.total_weight_override = full_weight;
+  DetectionResult native = *DetectCommunitiesParallel(g, native_options);
+  DetectionResult sql = *DetectCommunitiesSql(g, sql_options);
+  EXPECT_EQ(native.assignment, sql.assignment);
+  EXPECT_EQ(native.communities_per_iteration, sql.communities_per_iteration);
   ASSERT_EQ(native.modularity_per_iteration.size(),
             sql.modularity_per_iteration.size());
   for (size_t i = 0; i < native.modularity_per_iteration.size(); ++i) {
     EXPECT_NEAR(native.modularity_per_iteration[i],
                 sql.modularity_per_iteration[i], 1e-6);
   }
-}
-
-class SqlTextEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(SqlTextEquivalenceTest, LiteralSqlMatchesNativeAndPlanBased) {
-  graph::Graph g = PlantedPartition(3, 6, 0.75, 0.06, GetParam());
-  DetectionResult native = *DetectCommunitiesParallel(g);
-  DetectionResult sql_text = *DetectCommunitiesSqlText(g);
-  EXPECT_EQ(AsPartition(native.assignment), AsPartition(sql_text.assignment));
-  EXPECT_EQ(native.communities_per_iteration,
-            sql_text.communities_per_iteration);
-  ASSERT_EQ(native.modularity_per_iteration.size(),
-            sql_text.modularity_per_iteration.size());
-  for (size_t i = 0; i < native.modularity_per_iteration.size(); ++i) {
-    EXPECT_NEAR(native.modularity_per_iteration[i],
-                sql_text.modularity_per_iteration[i], 1e-6);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SqlTextEquivalenceTest,
-                         ::testing::Values(211, 223, 227));
-
-TEST(SqlTextCdTest, TwoCliquesSplitCorrectly) {
-  graph::Graph g = TwoCliques();
-  DetectionResult r = *DetectCommunitiesSqlText(g);
-  auto partition = AsPartition(r.assignment);
-  std::set<std::set<graph::VertexId>> expected = {{0, 1, 2, 3}, {4, 5, 6, 7}};
-  EXPECT_EQ(partition, expected);
-  EXPECT_TRUE(r.converged);
-}
-
-TEST(SqlTextCdTest, ParallelEngineMatchesSerial) {
-  graph::Graph g = PlantedPartition(3, 5, 0.8, 0.05, 229);
-  DetectionResult serial = *DetectCommunitiesSqlText(g);
-  ThreadPool pool(4);
-  SqlCdOptions options;
-  options.pool = &pool;
-  options.num_partitions = 4;
-  DetectionResult parallel = *DetectCommunitiesSqlText(g, options);
-  EXPECT_EQ(AsPartition(serial.assignment), AsPartition(parallel.assignment));
+  // The override changes the trace: the subgraph's own m_G scores the same
+  // final partition differently.
+  Partition final_partition(g, sql.assignment);
+  EXPECT_GT(std::abs(sql.modularity_per_iteration.back() -
+                     final_partition.TotalModularity(ModularityContext(g))),
+            1e-6);
 }
 
 TEST(SqlVertexNameTest, PaddedNamesOrderNumerically) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <set>
 
+#include "community/sql_cd.h"
 #include "esharp/esharp.h"
 #include "esharp/pipeline.h"
 #include "microblog/generator.h"
@@ -96,6 +100,127 @@ TEST_F(ESharpTest, SqlBackendMatchesNativeBackend) {
 
   EXPECT_EQ(native.store.num_communities(), sql.store.num_communities());
   EXPECT_EQ(native.communities_per_iteration, sql.communities_per_iteration);
+}
+
+// Node-by-node equality of two EXPLAIN ANALYZE trees: same operators, same
+// exact row counts and batch counts (wall time excluded).
+void ExpectSameProfile(const sql::ExplainStats& a, const sql::ExplainStats& b) {
+  EXPECT_EQ(a.op, b.op);
+  EXPECT_EQ(a.rows_in, b.rows_in) << a.op;
+  EXPECT_EQ(a.rows_out, b.rows_out) << a.op;
+  EXPECT_EQ(a.batches, b.batches) << a.op;
+  ASSERT_EQ(a.children.size(), b.children.size()) << a.op;
+  for (size_t i = 0; i < a.children.size(); ++i) {
+    ExpectSameProfile(*a.children[i], *b.children[i]);
+  }
+}
+
+void CollectProfile(const sql::ExplainStats& node,
+                    std::vector<const sql::ExplainStats*>* out) {
+  out->push_back(&node);
+  for (const auto& child : node.children) CollectProfile(*child, out);
+}
+
+TEST_F(ESharpTest, SqlBackendTracesIterationsAndExplainsPartitions) {
+  ThreadPool pool(2);
+  obs::Tracer tracer;
+  sql::ExplainStats explain;
+  OfflineOptions options;
+  options.extraction.min_similarity = 0.15;
+  options.backend = ClusteringBackend::kSqlEngine;
+  options.pool = &pool;
+  options.num_partitions = 2;
+  options.tracer = &tracer;
+  options.explain = &explain;
+  OfflineArtifacts sql = *RunOfflinePipeline(log_->log, options);
+  const graph::Graph& g = sql.similarity_graph;
+
+#if !defined(ESHARP_OBS_OFF)
+  // One "iteration" span per iteration, including the last one, which
+  // finds nothing to rename; the others carry the Fig. 5 trace point.
+  std::vector<obs::TraceEvent> spans;
+  for (obs::TraceEvent& e : tracer.Events()) {
+    if (e.name == "iteration") spans.push_back(std::move(e));
+  }
+  std::sort(spans.begin(), spans.end(),
+            [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
+              return a.start_us < b.start_us;
+            });
+  ASSERT_EQ(spans.size(), sql.communities_per_iteration.size());
+  for (size_t i = 0; i < spans.size(); ++i) {
+    std::map<std::string, std::string> args(spans[i].args.begin(),
+                                            spans[i].args.end());
+    EXPECT_EQ(args["iteration"], std::to_string(i));
+    if (i + 1 == spans.size()) {
+      EXPECT_EQ(args["converged"], "true");
+      continue;
+    }
+    EXPECT_EQ(args["communities"],
+              std::to_string(sql.communities_per_iteration[i + 1]));
+    ASSERT_TRUE(args.count("modularity")) << "iteration " << i;
+    EXPECT_NEAR(std::stod(args["modularity"]),
+                sql.modularity_per_iteration[i + 1],
+                1e-5 * std::abs(sql.modularity_per_iteration[i + 1]));
+  }
+#endif
+
+  // The EXPLAIN tree of the first "partitions" statement holds the five
+  // operator kinds of Fig. 4 and no others (aliases are folded away).
+  std::vector<const sql::ExplainStats*> nodes;
+  CollectProfile(explain, &nodes);
+  const std::set<std::string> kinds = {"Scan", "HashJoin", "Project", "Filter",
+                                       "Aggregate"};
+  size_t graph_scans = 0, community_scans = 0;
+  for (const sql::ExplainStats* node : nodes) {
+    EXPECT_TRUE(kinds.count(node->op.substr(0, node->op.find('('))))
+        << node->op;
+    if (node->op == "Scan(graph)") {
+      ++graph_scans;
+      EXPECT_EQ(node->rows_out, 2 * g.num_edges());
+    }
+    if (node->op == "Scan(communities)") {
+      ++community_scans;
+      EXPECT_EQ(node->rows_out, g.num_vertices());
+    }
+  }
+  EXPECT_EQ(graph_scans, 1u);
+  EXPECT_EQ(community_scans, 2u);
+
+  // Exact output: one row per vertex with a positive-gain neighbor in the
+  // singleton partition (the graph has at most one edge per vertex pair).
+  community::Partition singletons(g);
+  community::ModularityContext ctx(g);
+  std::set<graph::VertexId> with_neighbor;
+  for (const graph::Edge& e : g.edges()) {
+    if (ctx.MergeGain(singletons.DegreeSum(e.u), singletons.DegreeSum(e.v),
+                      e.weight) > 0) {
+      with_neighbor.insert(e.u);
+      with_neighbor.insert(e.v);
+    }
+  }
+  EXPECT_EQ(explain.rows_out, with_neighbor.size());
+
+  // The same statement on the reference row kernels and on the columnar
+  // kernels profiles to the same tree and counts.
+  sql::FunctionRegistry functions = community::SqlCdFunctions(g.TotalWeight());
+  Result<sql::Plan> degrees =
+      sql::ParseSql(community::kSqlCdScript[0].sql, functions);
+  Result<sql::Plan> partitions =
+      sql::ParseSql(community::kSqlCdScript[1].sql, functions);
+  ASSERT_TRUE(degrees.ok() && partitions.ok());
+  for (bool use_columnar : {true, false}) {
+    sql::ExecutorOptions exec_options;
+    exec_options.pool = &pool;
+    exec_options.num_partitions = 2;
+    exec_options.use_columnar = use_columnar;
+    sql::Executor executor(exec_options);
+    sql::Catalog catalog = community::SqlCdCatalog(g);
+    catalog.Register("degrees", *executor.Execute(*degrees, catalog));
+    sql::ExplainStats replay;
+    ASSERT_TRUE(executor.Execute(*partitions, catalog, &replay).ok());
+    SCOPED_TRACE(use_columnar ? "columnar" : "row");
+    ExpectSameProfile(explain, replay);
+  }
 }
 
 TEST(OfflinePipelineTest, EmptyLogFailsPrecondition) {

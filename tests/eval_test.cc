@@ -240,6 +240,13 @@ TEST(MetricsTest, ImpurityCurveShrinksWithThreshold) {
   // Impurity of an empty result set is 0 by definition; as the threshold
   // loosens, more accounts (here: all irrelevant, domain mismatch) appear.
   microblog::TweetCorpus corpus = TinyCorpus();
+  // MakeRun ranks users 0-3; the judges look every one of them up.
+  for (microblog::UserId id = 2; id < 4; ++id) {
+    microblog::UserProfile casual;
+    casual.id = id;
+    casual.kind = microblog::AccountKind::kCasual;
+    corpus.AddUser(casual);
+  }
   SetRun run = MakeRun();
   CrowdOptions crowd;
   crowd.accuracy_on_experts = 1.0;

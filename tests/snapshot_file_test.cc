@@ -210,6 +210,21 @@ TEST(SnapshotRoundTripTest, SaveBeforePublishFails) {
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(SnapshotRoundTripTest, EmptyArtifactsRoundTrip) {
+  // No users, tweets or communities: every array section is zero-length,
+  // so the loader copies zero elements into empty vectors.
+  microblog::TweetCorpus corpus;
+  community::CommunityStore store;
+  const std::string path = TempPath("empty.esnap");
+  ASSERT_TRUE(serving::SaveSnapshotFile(path, corpus, store, nullptr).ok());
+  Result<serving::SnapshotArtifacts> loaded = serving::LoadSnapshotFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_EQ(loaded->corpus->num_users(), 0u);
+  EXPECT_EQ(loaded->corpus->num_tweets(), 0u);
+  EXPECT_EQ(loaded->store->num_communities(), 0u);
+  EXPECT_EQ(loaded->evidence, nullptr);
+}
+
 // ---- corruption battery ---------------------------------------------------
 
 class SnapshotCorruptionTest : public ::testing::Test {

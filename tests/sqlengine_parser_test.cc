@@ -249,6 +249,27 @@ TEST(ParserTest, JoinAgainstSubquery) {
   EXPECT_EQ(out.row(0)[1].int_value(), 2);  // ann has two orders
 }
 
+TEST(ParserTest, ExplainAnalyzeOpensNoNodeForAliases) {
+  // A table alias renames columns and changes no rows: EXPLAIN ANALYZE
+  // profiles its input in its place.
+  Catalog cat = MakeCatalog();
+  Result<Plan> plan =
+      ParseSql("SELECT p.name FROM people p JOIN orders o ON p.name = o.who");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->Explain().find("Alias(p)"), std::string::npos);
+  ExplainStats stats;
+  ASSERT_TRUE(Executor().Execute(*plan, cat, &stats).ok());
+  EXPECT_EQ(stats.NodeCount(), 4u);  // Project, HashJoin, two Scans
+  ASSERT_EQ(stats.children.size(), 1u);
+  const ExplainStats& join = *stats.children[0];
+  EXPECT_EQ(join.rows_out, 3u);
+  ASSERT_EQ(join.children.size(), 2u);
+  EXPECT_EQ(join.children[0]->op, "Scan(people)");
+  EXPECT_EQ(join.children[0]->rows_out, 4u);
+  EXPECT_EQ(join.children[1]->op, "Scan(orders)");
+  EXPECT_EQ(join.children[1]->rows_out, 3u);
+}
+
 // ------------------------------------------------------------------ UDFs --
 
 TEST(ParserTest, ScalarUdfInWhereClause) {
