@@ -1,5 +1,6 @@
 // Compares two BENCH_*.json snapshots (the MetricsRegistry::ExportJson
-// schema: counters/gauges/histograms arrays of {"name","labels",...}) and
+// schema: counters/gauges/histograms arrays of {"name","labels",...},
+// compact or pretty-printed; labels compare with whitespace removed) and
 // reports per-metric deltas, failing when a directional metric regresses
 // beyond the threshold — the mechanical check that a perf PR's committed
 // baseline actually moved the right way, and that later PRs do not quietly
@@ -38,6 +39,7 @@
 // Exit status: 0 when no directional metric regressed by more than the
 // threshold, 1 otherwise (also 1 on parse/read errors).
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -67,80 +69,170 @@ Direction DirectionOf(const std::string& name) {
   return Direction::kInformational;
 }
 
-/// Extracts the string value of `"key":"..."` starting at or after `from`
-/// within `line`. Returns npos-sentinel empty string when absent. Escapes
-/// are passed through verbatim — metric names and label values in this
-/// schema are plain identifiers.
-bool FindStringField(const std::string& line, const char* key,
-                     std::string* out) {
-  std::string needle = std::string("\"") + key + "\":\"";
-  size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  size_t start = at + needle.size();
-  size_t end = line.find('"', start);
-  if (end == std::string::npos) return false;
-  *out = line.substr(start, end - start);
-  return true;
-}
-
-bool FindNumberField(const std::string& line, const char* key, double* out) {
-  std::string needle = std::string("\"") + key + "\":";
-  size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  const char* p = line.c_str() + at + needle.size();
-  char* end = nullptr;
-  double v = std::strtod(p, &end);
-  if (end == p) return false;
-  *out = v;
-  return true;
-}
-
-/// `"labels":{...}` verbatim (already canonically ordered by the emitter),
-/// "{}" when absent.
-std::string FindLabels(const std::string& line) {
-  size_t at = line.find("\"labels\":");
-  if (at == std::string::npos) return "{}";
-  size_t open = line.find('{', at);
-  size_t close = line.find('}', open);
-  if (open == std::string::npos || close == std::string::npos) return "{}";
-  return line.substr(open, close - open + 1);
-}
-
 /// Flat metric map: "name{labels}" (plus ".p50" etc. for histogram
 /// sub-values) -> value.
 using MetricMap = std::map<std::string, double>;
 
+/// Index just past the JSON string whose opening quote is at `pos`
+/// (escapes skipped, not decoded — names and labels in this schema are
+/// plain identifiers).
+size_t SkipString(const std::string& text, size_t pos) {
+  for (size_t i = pos + 1; i < text.size(); ++i) {
+    if (text[i] == '\\') {
+      ++i;
+    } else if (text[i] == '"') {
+      return i + 1;
+    }
+  }
+  return std::string::npos;
+}
+
+/// Index just past the object or array opening at `pos`, strings aware.
+size_t SkipNested(const std::string& text, size_t pos) {
+  int depth = 0;
+  for (size_t i = pos; i < text.size();) {
+    char c = text[i];
+    if (c == '"') {
+      i = SkipString(text, i);
+      if (i == std::string::npos) return i;
+      continue;
+    }
+    if (c == '{' || c == '[') ++depth;
+    if ((c == '}' || c == ']') && --depth == 0) return i + 1;
+    ++i;
+  }
+  return std::string::npos;
+}
+
+size_t SkipSpace(const std::string& text, size_t pos) {
+  while (pos < text.size() &&
+         std::isspace(static_cast<unsigned char>(text[pos]))) {
+    ++pos;
+  }
+  return pos;
+}
+
+/// `text` without the whitespace outside strings: the labels object as a
+/// key that matches across compact and pretty-printed snapshots.
+std::string Compact(const std::string& text) {
+  std::string out;
+  for (size_t i = 0; i < text.size();) {
+    if (text[i] == '"') {
+      size_t end = SkipString(text, i);
+      if (end == std::string::npos) end = text.size();
+      out.append(text, i, end - i);
+      i = end;
+    } else {
+      if (!std::isspace(static_cast<unsigned char>(text[i]))) out += text[i];
+      ++i;
+    }
+  }
+  return out;
+}
+
+/// Adds one metric object (`{"name":..., "labels":{...}, "value":...}` or
+/// a histogram's summary fields) to `out`, whatever its whitespace.
+/// Returns false when the object carries no name or no number.
+bool ParseMetric(const std::string& object, MetricMap* out) {
+  std::string name;
+  std::string labels = "{}";
+  std::map<std::string, double> numbers;
+  size_t pos = SkipSpace(object, 1);  // past '{'
+  while (pos < object.size() && object[pos] == '"') {
+    size_t key_end = SkipString(object, pos);
+    if (key_end == std::string::npos) return false;
+    std::string key = object.substr(pos + 1, key_end - pos - 2);
+    pos = SkipSpace(object, key_end);
+    if (pos >= object.size() || object[pos] != ':') return false;
+    pos = SkipSpace(object, pos + 1);
+    if (pos >= object.size()) return false;
+    size_t value_end;
+    if (object[pos] == '"') {
+      value_end = SkipString(object, pos);
+      if (value_end == std::string::npos) return false;
+      if (key == "name") name = object.substr(pos + 1, value_end - pos - 2);
+    } else if (object[pos] == '{' || object[pos] == '[') {
+      value_end = SkipNested(object, pos);
+      if (value_end == std::string::npos) return false;
+      if (key == "labels") labels = Compact(object.substr(pos, value_end - pos));
+    } else {
+      char* end = nullptr;
+      double v = std::strtod(object.c_str() + pos, &end);
+      if (end == object.c_str() + pos) return false;
+      numbers[key] = v;
+      value_end = static_cast<size_t>(end - object.c_str());
+    }
+    pos = SkipSpace(object, value_end);
+    if (pos < object.size() && object[pos] == ',') pos = SkipSpace(object, pos + 1);
+  }
+  if (name.empty()) return false;
+  const std::string key = name + labels;
+  if (auto it = numbers.find("value"); it != numbers.end()) {
+    (*out)[key] = it->second;
+    return true;
+  }
+  // Histogram entry: explode the summary fields into sub-metrics.
+  bool any = false;
+  for (const char* f : {"count", "mean", "max", "p50", "p95", "p99"}) {
+    if (auto it = numbers.find(f); it != numbers.end()) {
+      (*out)[key + "." + f] = it->second;
+      any = true;
+    }
+  }
+  return any;
+}
+
+/// Reads every metric object of the "counters", "gauges" and "histograms"
+/// arrays, one object at a time. A file with none of those arrays is not
+/// a snapshot; one whose arrays yield no metric at all is an error too,
+/// since diffing it would compare nothing.
 bool ParseFile(const std::string& path, MetricMap* out) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "bench_diff: cannot read %s\n", path.c_str());
     return false;
   }
-  std::string line;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
   bool saw_any_array = false;
-  while (std::getline(in, line)) {
-    if (line.find("\"counters\"") != std::string::npos ||
-        line.find("\"gauges\"") != std::string::npos ||
-        line.find("\"histograms\"") != std::string::npos) {
-      saw_any_array = true;
+  size_t parsed = 0;
+  for (const char* array : {"\"counters\"", "\"gauges\"", "\"histograms\""}) {
+    size_t at = text.find(array);
+    if (at == std::string::npos) continue;
+    size_t open = SkipSpace(text, at + std::strlen(array));
+    if (open < text.size() && text[open] == ':') open = SkipSpace(text, open + 1);
+    if (open >= text.size() || text[open] != '[') continue;
+    saw_any_array = true;
+    const size_t close = SkipNested(text, open);
+    if (close == std::string::npos) {
+      std::fprintf(stderr, "bench_diff: %s: unterminated %s array\n",
+                   path.c_str(), array);
+      return false;
     }
-    std::string name;
-    if (!FindStringField(line, "name", &name)) continue;
-    std::string key = name + FindLabels(line);
-    double v = 0;
-    if (FindNumberField(line, "value", &v)) {
-      (*out)[key] = v;
-      continue;
-    }
-    // Histogram entry: explode the summary fields into sub-metrics.
-    static const char* kFields[] = {"count", "mean", "max", "p50", "p95", "p99"};
-    for (const char* f : kFields) {
-      if (FindNumberField(line, f, &v)) (*out)[key + "." + f] = v;
+    for (size_t pos = SkipSpace(text, open + 1); pos < close - 1;) {
+      if (text[pos] != '{') {  // separator
+        pos = SkipSpace(text, pos + 1);
+        continue;
+      }
+      size_t end = SkipNested(text, pos);
+      if (end == std::string::npos || end > close) break;
+      if (!ParseMetric(text.substr(pos, end - pos), out)) {
+        std::fprintf(stderr, "bench_diff: %s: unreadable metric %s\n",
+                     path.c_str(), text.substr(pos, end - pos).c_str());
+        return false;
+      }
+      ++parsed;
+      pos = SkipSpace(text, end);
     }
   }
   if (!saw_any_array) {
     std::fprintf(stderr, "bench_diff: %s is not a metrics JSON snapshot\n",
                  path.c_str());
+    return false;
+  }
+  if (parsed == 0) {
+    std::fprintf(stderr, "bench_diff: %s has no metrics\n", path.c_str());
     return false;
   }
   return true;

@@ -27,15 +27,17 @@ std::vector<std::string> ShardNames(
 }  // namespace
 
 /// Shared state of one query's gather: co-owned by the router's caller
-/// thread and every scatter/hedge task. A shard resolves with its *first*
-/// finishing attempt (success or failure); later attempts still feed the
-/// health tracker but cannot change the answer.
+/// thread and every scatter/hedge/claim task. A shard resolves with its
+/// *first* finishing attempt (success or failure); later attempts still
+/// feed the health tracker but cannot change the answer.
 struct ClusterRouter::GatherState {
   std::string query;
   double deadline_ms = 0;  // client budget; <= 0 none
   Timer timer;             // copies the request's queue timer time base
   /// The query's trace; each attempt serves under a deterministic child.
   obs::TraceContext trace;
+  /// Next unclaimed position in the router's claimed_shards_.
+  std::atomic<size_t> next_claim{0};
 
   std::mutex mu;
   std::condition_variable cv;
@@ -75,13 +77,18 @@ ClusterRouter::ClusterRouter(
                                           options_.clock,
                                           options_.on_shard_transition}),
       slow_log_(options_.slow_query_log),
-      cache_(options_.cache) {}
+      cache_(options_.cache) {
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (shards_[i]->ReturnsByDeadline()) claimed_shards_.push_back(i);
+  }
+}
 
 ClusterRouter::~ClusterRouter() {
   // Mirror ServingEngine: drain the owned pool (runs + joins queued
-  // attempts), then wait out attempts queued on an external pool — the
-  // outstanding_ decrement is the last router-state access an attempt
-  // makes, so zero means no task can still touch shards_ or health_.
+  // attempts and claim helpers), then wait out those queued on an
+  // external pool — the outstanding_ decrement is the last router-state
+  // access a pool task makes, so zero means no task can still touch
+  // shards_ or health_.
   owned_pool_.reset();
   while (outstanding_.load(std::memory_order_acquire) != 0) {
     std::this_thread::yield();
@@ -125,80 +132,91 @@ void ClusterRouter::LaunchAttempt(const std::shared_ptr<GatherState>& state,
   if (is_hedge) health_.RecordHedge(index);
   outstanding_.fetch_add(1, std::memory_order_acq_rel);
   pool_->Submit([this, state, index, is_hedge] {
-    ShardRequest shard_request;
-    shard_request.query = state->query;
-    bool expired = false;
-    if (state->deadline_ms > 0) {
-      // The shard gets a fraction of what is *left* of the client budget,
-      // so queue wait and earlier stages are charged to the same clock
-      // and the router keeps headroom for merge + rank.
-      double remaining = state->deadline_ms - state->timer.ElapsedMillis();
-      if (remaining <= 0) {
-        expired = true;
-      } else {
-        shard_request.deadline_ms =
-            remaining * options_.shard_deadline_fraction;
-      }
-    }
-    // Open this attempt's profile record and mint its child trace context;
-    // the record completes in place under the same mutex when the attempt
-    // resolves below.
-    size_t attempt_slot;
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      shard_request.trace = state->trace.Child(state->attempt_counter++);
-      obs::LaneAttempt rec;
-      rec.hedge = is_hedge;
-      rec.start_ms = state->timer.ElapsedMillis();
-      rec.deadline_ms = shard_request.deadline_ms;
-      state->attempts[index].push_back(std::move(rec));
-      attempt_slot = state->attempts[index].size() - 1;
-    }
-    Timer attempt_timer;
-    Result<ShardEvidence> attempt =
-        expired ? Result<ShardEvidence>(Status::DeadlineExceeded(
-                      "client budget exhausted before shard attempt"))
-                : shards_[index]->Collect(shard_request);
-    double seconds = attempt_timer.ElapsedSeconds();
-    if (attempt.ok()) {
-      health_.RecordSuccess(index, seconds,
-                            attempt.ValueOrDie().snapshot_version);
-    } else {
-      health_.RecordFailure(index, seconds, attempt.status());
-    }
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      obs::LaneAttempt& rec = state->attempts[index][attempt_slot];
-      rec.dur_ms = seconds * 1e3;
-      if (attempt.ok()) {
-        const ShardEvidence& evidence = attempt.ValueOrDie();
-        rec.outcome = "ok";
-        rec.candidates = evidence.evidence.size();
-        // The breakdown is trustworthy when the shard echoed our trace
-        // (in-process always does; over HTTP it proves the profile line
-        // belongs to this attempt, not a stale or garbled response).
-        rec.has_breakdown = evidence.trace.SameTrace(shard_request.trace);
-        rec.queue_ms = evidence.queue_ms;
-        rec.expand_ms = evidence.expand_ms;
-        rec.detect_ms = evidence.detect_ms;
-      } else {
-        rec.outcome = "error";
-        rec.detail = attempt.status().ToString();
-      }
-      if (!state->finished[index]) {
-        state->finished[index] = true;
-        if (attempt.ok()) {
-          rec.won = true;  // first finisher's evidence is the one used
-          state->results[index] = attempt.MoveValueUnsafe();
-        } else {
-          state->errors[index] = attempt.status();
-        }
-        ++state->resolved;
-      }
-    }
-    state->cv.notify_all();
+    RunAttempt(*state, index, is_hedge);
     outstanding_.fetch_sub(1, std::memory_order_acq_rel);
   });
+}
+
+void ClusterRouter::RunClaims(GatherState& state) {
+  for (size_t c = state.next_claim.fetch_add(1); c < claimed_shards_.size();
+       c = state.next_claim.fetch_add(1)) {
+    RunAttempt(state, claimed_shards_[c], /*is_hedge=*/false);
+  }
+}
+
+void ClusterRouter::RunAttempt(GatherState& state, size_t index,
+                               bool is_hedge) {
+  ShardRequest shard_request;
+  shard_request.query = state.query;
+  bool expired = false;
+  if (state.deadline_ms > 0) {
+    // The shard gets a fraction of what is *left* of the client budget,
+    // so queue wait and earlier stages are charged to the same clock
+    // and the router keeps headroom for merge + rank.
+    double remaining = state.deadline_ms - state.timer.ElapsedMillis();
+    if (remaining <= 0) {
+      expired = true;
+    } else {
+      shard_request.deadline_ms = remaining * options_.shard_deadline_fraction;
+    }
+  }
+  // Open this attempt's profile record and mint its child trace context;
+  // the record completes in place under the same mutex when the attempt
+  // resolves below.
+  size_t attempt_slot;
+  {
+    std::lock_guard<std::mutex> lock(state.mu);
+    shard_request.trace = state.trace.Child(state.attempt_counter++);
+    obs::LaneAttempt rec;
+    rec.hedge = is_hedge;
+    rec.start_ms = state.timer.ElapsedMillis();
+    rec.deadline_ms = shard_request.deadline_ms;
+    state.attempts[index].push_back(std::move(rec));
+    attempt_slot = state.attempts[index].size() - 1;
+  }
+  Timer attempt_timer;
+  Result<ShardEvidence> attempt =
+      expired ? Result<ShardEvidence>(Status::DeadlineExceeded(
+                    "client budget exhausted before shard attempt"))
+              : shards_[index]->Collect(shard_request);
+  double seconds = attempt_timer.ElapsedSeconds();
+  if (attempt.ok()) {
+    health_.RecordSuccess(index, seconds,
+                          attempt.ValueOrDie().snapshot_version);
+  } else {
+    health_.RecordFailure(index, seconds, attempt.status());
+  }
+  {
+    std::lock_guard<std::mutex> lock(state.mu);
+    obs::LaneAttempt& rec = state.attempts[index][attempt_slot];
+    rec.dur_ms = seconds * 1e3;
+    if (attempt.ok()) {
+      const ShardEvidence& evidence = attempt.ValueOrDie();
+      rec.outcome = "ok";
+      rec.candidates = evidence.evidence.size();
+      // The breakdown is trustworthy when the shard echoed our trace
+      // (in-process always does; over HTTP it proves the profile line
+      // belongs to this attempt, not a stale or garbled response).
+      rec.has_breakdown = evidence.trace.SameTrace(shard_request.trace);
+      rec.queue_ms = evidence.queue_ms;
+      rec.expand_ms = evidence.expand_ms;
+      rec.detect_ms = evidence.detect_ms;
+    } else {
+      rec.outcome = "error";
+      rec.detail = attempt.status().ToString();
+    }
+    if (!state.finished[index]) {
+      state.finished[index] = true;
+      if (attempt.ok()) {
+        rec.won = true;  // first finisher's evidence is the one used
+        state.results[index] = attempt.MoveValueUnsafe();
+      } else {
+        state.errors[index] = attempt.status();
+      }
+      ++state.resolved;
+    }
+  }
+  state.cv.notify_all();
 }
 
 Result<ClusterResponse> ClusterRouter::Execute(
@@ -271,14 +289,33 @@ Result<ClusterResponse> ClusterRouter::Execute(
   state->timer = queue_timer;
   state->trace = trace_ctx;
   for (size_t i = 0; i < n; ++i) {
-    LaunchAttempt(state, i, /*is_hedge=*/false);
+    if (!shards_[i]->ReturnsByDeadline()) {
+      LaunchAttempt(state, i, /*is_hedge=*/false);
+    }
+  }
+  // Help-first over the shards that return by their deadline: this thread
+  // claims their attempts too, so progress never waits on pool capacity;
+  // a helper that dequeues after the claims ran out finds nothing to do.
+  // The gather below then waits only for attempts still running elsewhere.
+  if (!claimed_shards_.empty()) {
+    const size_t helpers =
+        std::min(claimed_shards_.size() - 1, pool_->num_threads());
+    for (size_t h = 0; h < helpers; ++h) {
+      outstanding_.fetch_add(1, std::memory_order_acq_rel);
+      pool_->Submit([this, state] {
+        RunClaims(*state);
+        outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+      });
+    }
+    RunClaims(*state);
   }
 
-  // Gather. The hedge trigger arms only after warmup samples exist; its
+  // Gather. The hedge trigger arms only after warmup samples exist, and
+  // only when some shard is pooled (claimed shards are never hedged); its
   // delay is measured from this request's submission, so "late" means
   // late relative to what the cluster recently served.
   double hedge_delay_ms = -1;
-  if (options_.enable_hedging &&
+  if (options_.enable_hedging && claimed_shards_.size() < n &&
       health_.total_samples() >= options_.hedge_warmup) {
     hedge_delay_ms =
         std::max(options_.hedge_min_ms,
@@ -298,7 +335,10 @@ Result<ClusterResponse> ClusterRouter::Execute(
       }
       if (hedge_delay_ms >= 0 && elapsed >= hedge_delay_ms) {
         for (size_t i = 0; i < n; ++i) {
-          if (!state->finished[i] && !state->hedged[i]) {
+          // A claimed attempt is never queued behind anything: a second
+          // one would only be another call into the same engine.
+          if (!state->finished[i] && !state->hedged[i] &&
+              !shards_[i]->ReturnsByDeadline()) {
             state->hedged[i] = true;
             ++hedges_fired;
             // Submitting under state->mu is safe: pool workers take the

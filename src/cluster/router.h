@@ -26,13 +26,16 @@ namespace esharp::cluster {
 /// \brief Configuration of the query router.
 struct RouterOptions {
   /// Worker threads when the router owns its pool (pool == nullptr). The
-  /// scatter fan-out runs here, one task per shard attempt.
+  /// scatter fan-out runs here: one task per attempt on a transport that
+  /// may block past its deadline (HTTP), and up to min(k - 1, threads)
+  /// helper tasks claiming the k in-process shards' attempts alongside the
+  /// caller.
   size_t num_threads = 4;
   /// Existing pool to dispatch onto instead of owning one; must outlive
   /// the router. In-process clusters share one pool between the router
-  /// and the shard engines without deadlock risk: router tasks call the
-  /// shard engine synchronously, and shard engines collect help-first, so
-  /// neither ever blocks waiting for pool capacity.
+  /// and the shard engines without deadlock risk: the router's caller and
+  /// the shard engines both work help-first, so neither ever blocks
+  /// waiting for pool capacity.
   ThreadPool* pool = nullptr;
   /// Admission bound, as in ServingOptions: beyond it requests are shed
   /// with Unavailable instead of queueing without bound.
@@ -49,10 +52,10 @@ struct RouterOptions {
   serving::CacheOptions cache;
   /// Hedged requests (the tail-at-scale defense): when a shard has not
   /// answered after hedge_factor * cluster-p<hedge_percentile> latency, a
-  /// second attempt is sent and the first finisher wins. With the
-  /// in-process transport both attempts hit the same engine, so a hedge
-  /// only helps against transient slowness (queue wait behind an
-  /// expensive request) — exactly the tail this tier produces.
+  /// second attempt is sent and the first finisher wins. Only transports
+  /// that may block past their deadline are hedged: an in-process shard's
+  /// attempt is claimed, never left queued, so a hedge would just be a
+  /// second call into the same engine.
   bool enable_hedging = true;
   double hedge_percentile = 95;
   double hedge_factor = 1.0;
@@ -127,11 +130,14 @@ struct ClusterResponse {
 ///
 ///   Query -> admission (shed over max_in_flight)
 ///         -> cache probe (validated against the combined shard versions)
-///         -> scatter: one Collect task per shard on the pool, each with
-///            shard_deadline_fraction of the remaining client budget
-///         -> gather: wait for all shards, firing one hedge per late
-///            shard once the latency trigger arms; stop at the deadline
-///            with whatever answered
+///         -> scatter: one pool task per attempt on a transport that may
+///            block past its deadline; in-process shards' attempts are
+///            claimed help-first by the caller and up to k - 1 pool
+///            helpers. Each attempt gets shard_deadline_fraction of the
+///            remaining client budget
+///         -> gather: wait for the attempts still running elsewhere,
+///            firing one hedge per late pooled shard once the latency
+///            trigger arms; stop at the deadline with whatever answered
 ///         -> merge evidence pools + rank once on the union detector
 ///         -> degraded bookkeeping (shards_answered/N), cache fill
 ///            (complete answers only), metrics
@@ -152,9 +158,10 @@ class ClusterRouter {
   ClusterRouter(const ClusterRouter&) = delete;
   ClusterRouter& operator=(const ClusterRouter&) = delete;
 
-  /// Serves one query on the caller's thread (scatter legs run on the
-  /// pool). Reuses serving::QueryRequest so clients and benches drive
-  /// either tier with the same request type.
+  /// Serves one query on the caller's thread, which also runs in-process
+  /// shard attempts it claims (other scatter legs run on the pool).
+  /// Reuses serving::QueryRequest so clients and benches drive either tier
+  /// with the same request type.
   Result<ClusterResponse> Query(serving::QueryRequest request);
 
   size_t num_shards() const { return shards_.size(); }
@@ -202,17 +209,24 @@ class ClusterRouter {
 
  private:
   /// Shared state of one query's gather. Heap-owned and co-owned by every
-  /// scatter/hedge task, so attempts finishing after the router gave up
-  /// on them (deadline) still land somewhere valid.
+  /// scatter/hedge/claim task, so attempts finishing after the router gave
+  /// up on them (deadline) still land somewhere valid.
   struct GatherState;
 
   bool TryAdmit();
   Result<ClusterResponse> Execute(const serving::QueryRequest& request,
                                   const Timer& queue_timer,
                                   double deadline_ms);
-  /// Launches one attempt (primary or hedge) against shard `index`.
+  /// Queues one attempt (primary or hedge) against shard `index` as its
+  /// own pool task.
   void LaunchAttempt(const std::shared_ptr<GatherState>& state, size_t index,
                      bool is_hedge);
+  /// Runs claimed_shards_ attempts on this thread until none is unclaimed.
+  void RunClaims(GatherState& state);
+  /// The one attempt body, pooled or claimed: carves the shard's budget,
+  /// serves it under a child trace, records health and the profile lane,
+  /// and resolves the shard if it finished first.
+  void RunAttempt(GatherState& state, size_t index, bool is_hedge);
 
   double EffectiveDeadline(const serving::QueryRequest& request) const {
     return request.deadline_ms >= 0 ? request.deadline_ms
@@ -220,6 +234,9 @@ class ClusterRouter {
   }
 
   std::vector<std::unique_ptr<ShardTransport>> shards_;
+  /// Shards whose transport ReturnsByDeadline(): their attempts are
+  /// claimed per query, never queued one task each, and never hedged.
+  std::vector<size_t> claimed_shards_;
   const expert::ExpertDetector* detector_;
   /// When set, wins over detector_ (SetUnionDetector); loaded once per
   /// ranked merge.
@@ -236,8 +253,9 @@ class ClusterRouter {
   std::atomic<size_t> in_flight_{0};
   /// Round-robin position of the trace head sampler (trace_sample_period).
   std::atomic<uint64_t> trace_counter_{0};
-  /// Attempts still running or queued anywhere; the destructor spins on
-  /// zero after draining the owned pool (mirrors ServingEngine).
+  /// Pool tasks (pooled attempts, claim helpers) still running or queued
+  /// anywhere; the destructor spins on zero after draining the owned pool
+  /// (mirrors ServingEngine).
   std::atomic<size_t> outstanding_{0};
 };
 

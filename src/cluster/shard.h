@@ -53,6 +53,12 @@ struct ShardEvidence {
 ///
 /// Collect() must be thread-safe and must return (never hang): the router's
 /// hedging and degraded modes rely on every attempt eventually resolving.
+/// How the router runs an attempt depends on ReturnsByDeadline(): a
+/// transport that may block past its deadline gets one pool task per
+/// attempt (primary or hedge), so the router's caller can stop gathering
+/// at the client deadline without it; one that returns by its deadline is
+/// run by whichever thread claims it first, the router's caller included,
+/// and is never hedged.
 class ShardTransport {
  public:
   virtual ~ShardTransport() = default;
@@ -63,6 +69,11 @@ class ShardTransport {
   /// One collection attempt against this shard.
   virtual Result<ShardEvidence> Collect(const ShardRequest& request) = 0;
 
+  /// True only when Collect() is guaranteed to return by
+  /// ShardRequest::deadline_ms — synchronous work that enforces the
+  /// deadline itself, with no network or other unbounded wait.
+  virtual bool ReturnsByDeadline() const { return false; }
+
   /// Last known snapshot version of the shard, without an RPC — folded
   /// into the router's cluster-wide cache-validation version, so it must
   /// be cheap (an atomic load) and only as fresh as the last contact.
@@ -70,13 +81,17 @@ class ShardTransport {
 };
 
 /// \brief In-process transport: the shard is a ServingEngine in the same
-/// process. The engine must outlive the transport.
+/// process. The engine must outlive the transport. Collect() is a
+/// synchronous QueryEvidence, which checks the deadline before expansion
+/// and cooperatively inside detection, so it returns by the deadline.
 class InProcessShard final : public ShardTransport {
  public:
   InProcessShard(std::string name, serving::ServingEngine* engine)
       : name_(std::move(name)), engine_(engine) {}
 
   const std::string& name() const override { return name_; }
+
+  bool ReturnsByDeadline() const override { return true; }
 
   Result<ShardEvidence> Collect(const ShardRequest& request) override {
     serving::QueryRequest query;

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 #include "cluster/router.h"
 #include "cluster/shard.h"
 #include "cluster/transport_http.h"
+#include "common/thread_pool.h"
 #include "community/store.h"
 #include "esharp/pipeline.h"
 #include "expert/detector.h"
@@ -117,42 +119,6 @@ serving::ServingOptions ShardEngineOptions() {
   return o;
 }
 
-/// One in-process cluster: partitioned corpus, per-shard snapshot managers
-/// + engines (each building its own TermEvidenceIndex over its partition),
-/// and a router ranking on the union corpus. The shared store shared_ptr
-/// guarantees identical expansion on every shard.
-struct TestCluster {
-  cluster::PartitionedCorpus partition;
-  std::shared_ptr<const community::CommunityStore> store;
-  std::vector<std::unique_ptr<serving::SnapshotManager>> managers;
-  std::vector<std::unique_ptr<serving::ServingEngine>> engines;
-  std::unique_ptr<expert::ExpertDetector> union_detector;
-  std::unique_ptr<cluster::ClusterRouter> router;
-};
-
-TestCluster MakeCluster(const World& world, uint32_t num_shards,
-                        cluster::RouterOptions router_options = {}) {
-  TestCluster tc;
-  tc.partition = cluster::PartitionCorpus(world.corpus, num_shards);
-  tc.store = std::make_shared<const community::CommunityStore>(
-      world.artifacts.store);
-  std::vector<std::unique_ptr<cluster::ShardTransport>> transports;
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    tc.managers.push_back(std::make_unique<serving::SnapshotManager>(
-        tc.partition.shards[s].get()));
-    tc.managers.back()->Publish(tc.store);
-    tc.engines.push_back(std::make_unique<serving::ServingEngine>(
-        tc.managers.back().get(), ShardEngineOptions()));
-    transports.push_back(std::make_unique<cluster::InProcessShard>(
-        "shard-" + std::to_string(s), tc.engines.back().get()));
-  }
-  tc.union_detector =
-      std::make_unique<expert::ExpertDetector>(&world.corpus);
-  tc.router = std::make_unique<cluster::ClusterRouter>(
-      std::move(transports), tc.union_detector.get(), router_options);
-  return tc;
-}
-
 /// Fault-injection transport: wraps a delegate and, per the knobs, fails,
 /// sleeps, or passes through. All knobs are live (atomics) so tests flip
 /// them mid-traffic.
@@ -167,7 +133,7 @@ class FaultShard final : public cluster::ShardTransport {
   Result<cluster::ShardEvidence> Collect(
       const cluster::ShardRequest& request) override {
     calls_.fetch_add(1, std::memory_order_relaxed);
-    double sleep_ms = sleep_first_ms_.exchange(0.0);
+    double sleep_ms = sleep_first_ms_.exchange(0.0) + sleep_every_ms_.load();
     if (sleep_ms > 0) {
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(sleep_ms));
@@ -187,6 +153,8 @@ class FaultShard final : public cluster::ShardTransport {
   void set_timeout(bool t) { timeout_.store(t, std::memory_order_relaxed); }
   /// The *next* Collect (only) sleeps this long before proceeding.
   void set_sleep_first_ms(double ms) { sleep_first_ms_.store(ms); }
+  /// Every Collect sleeps this long (on top of any first-call sleep).
+  void set_sleep_every_ms(double ms) { sleep_every_ms_.store(ms); }
   size_t calls() const { return calls_.load(std::memory_order_relaxed); }
 
  private:
@@ -195,18 +163,37 @@ class FaultShard final : public cluster::ShardTransport {
   std::atomic<bool> fail_{false};
   std::atomic<bool> timeout_{false};
   std::atomic<double> sleep_first_ms_{0.0};
+  std::atomic<double> sleep_every_ms_{0.0};
   std::atomic<size_t> calls_{0};
 };
 
-/// MakeCluster variant whose transports are FaultShards; returns the raw
-/// pointers so tests can inject faults after handing ownership over.
+/// One in-process cluster: partitioned corpus, per-shard snapshot managers
+/// + engines (each building its own TermEvidenceIndex over its partition),
+/// and a router ranking on the union corpus. The shared store shared_ptr
+/// guarantees identical expansion on every shard.
+struct TestCluster {
+  cluster::PartitionedCorpus partition;
+  std::shared_ptr<const community::CommunityStore> store;
+  std::vector<std::unique_ptr<serving::SnapshotManager>> managers;
+  std::vector<std::unique_ptr<serving::ServingEngine>> engines;
+  std::unique_ptr<expert::ExpertDetector> union_detector;
+  std::unique_ptr<cluster::ClusterRouter> router;
+};
+
+/// A TestCluster plus the raw pointers of its FaultShards, so tests can
+/// inject faults after handing ownership over.
 struct FaultyCluster {
   TestCluster base;
   std::vector<FaultShard*> faults;
 };
 
-FaultyCluster MakeFaultyCluster(const World& world, uint32_t num_shards,
-                                cluster::RouterOptions router_options = {}) {
+/// Shards [0, num_faulty) talk through a FaultShard wrapping their
+/// InProcessShard (a transport the router runs as one pool task per
+/// attempt); the rest are bare InProcessShards (claimed help-first).
+FaultyCluster MakeMixedCluster(
+    const World& world, uint32_t num_shards,
+    cluster::RouterOptions router_options, uint32_t num_faulty,
+    serving::ServingOptions engine_options = ShardEngineOptions()) {
   FaultyCluster fc;
   TestCluster& tc = fc.base;
   tc.partition = cluster::PartitionCorpus(world.corpus, num_shards);
@@ -218,19 +205,36 @@ FaultyCluster MakeFaultyCluster(const World& world, uint32_t num_shards,
         tc.partition.shards[s].get()));
     tc.managers.back()->Publish(tc.store);
     tc.engines.push_back(std::make_unique<serving::ServingEngine>(
-        tc.managers.back().get(), ShardEngineOptions()));
+        tc.managers.back().get(), engine_options));
     std::string name = "shard-" + std::to_string(s);
-    auto fault = std::make_unique<FaultShard>(
-        name, std::make_unique<cluster::InProcessShard>(
-                  name, tc.engines.back().get()));
-    fc.faults.push_back(fault.get());
-    transports.push_back(std::move(fault));
+    auto shard = std::make_unique<cluster::InProcessShard>(
+        name, tc.engines.back().get());
+    if (s < num_faulty) {
+      auto fault = std::make_unique<FaultShard>(name, std::move(shard));
+      fc.faults.push_back(fault.get());
+      transports.push_back(std::move(fault));
+    } else {
+      transports.push_back(std::move(shard));
+    }
   }
   tc.union_detector =
       std::make_unique<expert::ExpertDetector>(&world.corpus);
   tc.router = std::make_unique<cluster::ClusterRouter>(
       std::move(transports), tc.union_detector.get(), router_options);
   return fc;
+}
+
+TestCluster MakeCluster(const World& world, uint32_t num_shards,
+                        cluster::RouterOptions router_options = {}) {
+  return std::move(
+      MakeMixedCluster(world, num_shards, router_options, /*num_faulty=*/0)
+          .base);
+}
+
+FaultyCluster MakeFaultyCluster(const World& world, uint32_t num_shards,
+                                cluster::RouterOptions router_options = {}) {
+  return MakeMixedCluster(world, num_shards, router_options,
+                          /*num_faulty=*/num_shards);
 }
 
 std::string FirstTopicQuery(const World& world) {
@@ -444,6 +448,154 @@ TEST(ClusterTest, HedgeFiresForSlowShardAndFirstFinisherWins) {
   EXPECT_LT(routed->total_ms, 450.0);  // the hedge answered, not the sleeper
   EXPECT_GE(fc.faults[0]->calls(), calls_before + 2);  // primary + hedge
   EXPECT_GE(fc.base.router->health().StatusOf(0).hedges, 1u);
+}
+
+// ---------------------------------------------------- help-first scatter --
+
+TEST(ClusterTest, InProcessScatterProgressesWithoutPoolCapacity) {
+  World world = MakeWorld(2701);
+  auto store = std::make_shared<const community::CommunityStore>(
+      world.artifacts.store);
+  serving::SnapshotManager ref_manager(&world.corpus);
+  ref_manager.Publish(store);
+  serving::ServingEngine ref_engine(&ref_manager, ShardEngineOptions());
+
+  // One worker shared by the router and every shard engine, parked on a
+  // latch for the whole test: only work the caller does itself can make
+  // progress. Declared before the cluster, so the latch is released (and
+  // the queued helpers drained) before anything they point at goes away.
+  ThreadPool pool(1);
+  std::promise<void> latch;
+  std::shared_future<void> latch_open = latch.get_future().share();
+  pool.Submit([latch_open] { latch_open.wait(); });
+
+  cluster::RouterOptions ro;
+  ro.pool = &pool;
+  ro.enable_cache = false;
+  ro.enable_hedging = false;
+  serving::ServingOptions so = ShardEngineOptions();
+  so.pool = &pool;
+  FaultyCluster fc = MakeMixedCluster(world, 4, ro, /*num_faulty=*/0, so);
+
+  // The watchdog opens the latch either way; it fails the test when the
+  // queries had not returned on their own within a few seconds.
+  std::promise<void> queries_done;
+  std::future<void> done = queries_done.get_future();
+  std::atomic<bool> watchdog_fired{false};
+  std::thread watchdog([&] {
+    if (done.wait_for(std::chrono::seconds(5)) ==
+        std::future_status::timeout) {
+      watchdog_fired.store(true);
+    }
+    latch.set_value();
+  });
+  // A lambda, so a failed ASSERT still reaches the join below.
+  auto run_queries = [&] {
+    for (const std::string& q : QueryMix(world)) {
+      auto ref = ref_engine.Query({q});
+      auto routed = fc.base.router->Query({q});
+      ASSERT_TRUE(ref.ok()) << q << ": " << ref.status().ToString();
+      ASSERT_TRUE(routed.ok()) << q << ": " << routed.status().ToString();
+      EXPECT_EQ(routed->shards_answered, 4u);
+      ExpectSameExperts(routed->experts, ref->experts, "query '" + q + "'");
+    }
+  };
+  run_queries();
+  queries_done.set_value();
+  watchdog.join();
+  EXPECT_FALSE(watchdog_fired.load())
+      << "Query waited for the parked pool worker";
+}
+
+TEST(ClusterTest, InProcessShardsAreNeverHedged) {
+  World world = MakeWorld(2801);
+  auto store = std::make_shared<const community::CommunityStore>(
+      world.artifacts.store);
+  serving::SnapshotManager ref_manager(&world.corpus);
+  ref_manager.Publish(store);
+  serving::ServingEngine ref_engine(&ref_manager, ShardEngineOptions());
+
+  // A trigger that would hedge every unfinished shard the moment the
+  // gather starts.
+  cluster::RouterOptions ro;
+  ro.enable_cache = false;
+  ro.enable_hedging = true;
+  ro.hedge_warmup = 4;
+  ro.hedge_min_ms = 0;
+  ro.hedge_factor = 0;
+  TestCluster tc = MakeCluster(world, 4, ro);
+  std::vector<std::string> queries = QueryMix(world);
+  for (int round = 0; round < 3; ++round) {
+    for (const std::string& q : queries) {
+      auto ref = ref_engine.Query({q});
+      auto routed = tc.router->Query({q});
+      ASSERT_TRUE(ref.ok()) << q << ": " << ref.status().ToString();
+      ASSERT_TRUE(routed.ok()) << q << ": " << routed.status().ToString();
+      EXPECT_EQ(routed->hedges_fired, 0u) << q;
+      ExpectSameExperts(routed->experts, ref->experts, "query '" + q + "'");
+    }
+  }
+  ASSERT_GE(tc.router->health().total_samples(), ro.hedge_warmup);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(tc.router->health().StatusOf(i).hedges, 0u) << "shard " << i;
+  }
+}
+
+TEST(ClusterTest, MixedClusterHedgesAndTimesOutOnlyThePooledShard) {
+  World world = MakeWorld(2901);
+  cluster::RouterOptions ro;
+  ro.enable_cache = false;
+  ro.enable_hedging = true;
+  ro.hedge_warmup = 4;
+  ro.hedge_min_ms = 0;  // hedge every unfinished shard at once
+  ro.hedge_factor = 0;
+  FaultyCluster fc = MakeMixedCluster(world, 4, ro, /*num_faulty=*/1);
+  const std::string query = FirstTopicQuery(world);
+  // Warm the engines and arm the hedge trigger (4 samples).
+  ASSERT_TRUE(fc.base.router->Query({query}).ok());
+
+  // Shard 0 sleeps on every call, its hedge included; shards 1-3 are
+  // in-process and answer at once.
+  fc.faults[0]->set_sleep_every_ms(400);
+  serving::QueryRequest request;
+  request.query = query;
+  request.deadline_ms = 120;
+  auto routed = fc.base.router->Query(request);
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  EXPECT_TRUE(routed->degraded);
+  EXPECT_EQ(routed->shards_answered, 3u);
+  EXPECT_LT(routed->total_ms, 390.0);  // did not wait out the sleeper
+  EXPECT_EQ(routed->hedges_fired, 1u);
+  EXPECT_EQ(fc.base.router->health().StatusOf(0).hedges, 1u);
+
+  // The profile attributes the missing shard: both attempts (primary and
+  // hedge) were still out when the deadline ended the gather. The claimed
+  // shards ran once each and won.
+  auto profile =
+      fc.base.router->slow_queries().Find(routed->trace.TraceIdHex());
+  ASSERT_NE(profile, nullptr);
+  EXPECT_EQ(profile->outcome, "degraded");
+  ASSERT_EQ(profile->lanes.size(), 4u);
+  const obs::ProfileLane& slow = profile->lanes[0];
+  EXPECT_EQ(slow.annotation, "no answer before deadline");
+  ASSERT_EQ(slow.attempts.size(), 2u);
+  EXPECT_FALSE(slow.attempts[0].hedge);
+  EXPECT_TRUE(slow.attempts[1].hedge);
+  for (const obs::LaneAttempt& attempt : slow.attempts) {
+    EXPECT_EQ(attempt.outcome, "outstanding");
+    EXPECT_GT(attempt.deadline_ms, 0.0);
+    EXPECT_LE(attempt.deadline_ms, 120.0);
+  }
+  for (size_t i = 1; i < 4; ++i) {
+    SCOPED_TRACE("lane " + std::to_string(i));
+    const obs::ProfileLane& lane = profile->lanes[i];
+    EXPECT_TRUE(lane.annotation.empty()) << lane.annotation;
+    ASSERT_EQ(lane.attempts.size(), 1u);
+    EXPECT_FALSE(lane.attempts[0].hedge);
+    EXPECT_EQ(lane.attempts[0].outcome, "ok");
+    EXPECT_TRUE(lane.attempts[0].won);
+    EXPECT_EQ(fc.base.router->health().StatusOf(i).hedges, 0u);
+  }
 }
 
 // ------------------------------------------------------- caching + swaps --
